@@ -10,9 +10,10 @@
 // then compute each schedule's makespan on an ideal `slots`-wide machine:
 // static stride assigns run k to worker k % slots, largest-first dispatch
 // assigns each run (in LPT order) to the earliest-free worker — exactly what
-// the shared-cursor dispatch in RunShuffleAndReduce converges to. The real
-// RunShuffleAndReduce still executes both configs and their reduce checksums
-// must match.
+// the shared-cursor dispatch in RunShuffleAndReduce converges to. The static
+// stride exists only in this model; the engine always dispatches
+// largest-first. The real RunShuffleAndReduce executes both partition counts
+// (1 and `slots`) and their reduce checksums must match.
 //
 // Three key distributions over identical packet volume:
 //   uniform — many equal groups; both schedules balance, ~1x (sanity floor).
@@ -234,18 +235,17 @@ Modeled ModelPartitioned(const std::vector<ShufflePacket<int64_t>>& workload,
 }
 
 // Execute the real engine path and return the reduce checksum + stats, so the
-// two configs are proven output-equivalent and the bench JSON carries real
+// two partition counts are proven output-equivalent and the bench JSON carries real
 // EngineStats (partition counts, skew, shuffle/reduce wall on this host).
 uint64_t RunReal(const std::vector<ShufflePacket<int64_t>>& workload,
-                 size_t partitions, ReduceSchedule schedule, size_t slots,
-                 EngineStats* stats) {
+                 size_t partitions, size_t slots, EngineStats* stats) {
   ShuffleBuffer<int64_t> shuffle(partitions);
   auto batch = workload;
   shuffle.AddBatch(std::move(batch));
   std::mutex mu;
   uint64_t checksum = 0;
   internal::RunShuffleAndReduce<int64_t>(
-      std::move(shuffle), slots, schedule,
+      std::move(shuffle), slots,
       [&mu, &checksum](const int64_t&, const ShufflePacket<int64_t>* first,
                        const ShufflePacket<int64_t>* last) {
         uint64_t local = 0;
@@ -282,11 +282,9 @@ int main() {
       EngineStats old_stats;
       EngineStats new_stats;
       const uint64_t old_sum =
-          RunReal(workload, /*partitions=*/1, ReduceSchedule::kStatic, slots,
-                  &old_stats);
+          RunReal(workload, /*partitions=*/1, slots, &old_stats);
       const uint64_t new_sum =
-          RunReal(workload, /*partitions=*/slots, ReduceSchedule::kLargestFirst,
-                  slots, &new_stats);
+          RunReal(workload, /*partitions=*/slots, slots, &new_stats);
       if (old_sum != new_sum) {
         std::printf("ERROR: %s/%zu: partitioned reduce diverged\n", shape, slots);
         return 1;
@@ -300,7 +298,7 @@ int main() {
       std::printf("%-8s %6zu %12.1f %12.1f %8.2fx\n", shape, slots,
                   old_run.total(), new_run.total(), speedup);
       const std::string label = std::string(shape) + "_" + std::to_string(slots);
-      bench::BenchReport::AddRun(label, "shuffle-static", "P=1 static", old_stats);
+      bench::BenchReport::AddRun(label, "shuffle-p1", "P=1 largest-first", old_stats);
       bench::BenchReport::AddRun(label, "shuffle-lpt", "P=slots largest-first",
                                  new_stats);
       bench::BenchReport::AddScalar(label + "_static_makespan_ms", old_run.total());

@@ -3,8 +3,9 @@
 # fault-injection / wire-hardening / degradation / shuffle suites under
 # ASan+UBSan, and the threaded-engine / shuffle / spill / morsel suites under
 # TSan (filters live in CMakePresets.json) — then the smoke-mode
-# perf gate (bench_compare over two bench_smoke runs + checked-in fixtures)
-# and one --explain bottleneck report as a human-readable tail.
+# perf gate (bench_compare over two bench_smoke runs + checked-in fixtures),
+# the perfbench oracle smoke over all four workloads, and one --explain
+# bottleneck report as a human-readable tail.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -77,6 +78,23 @@ fi
 # modeled map makespan over static per-segment dispatch and byte-identical
 # outputs across morsel granularities, exiting nonzero otherwise.
 (cd "$gate_dir" && ../../build/bench/bench_morsel)
+
+# --- end-to-end oracle smoke -------------------------------------------------
+# perfbench (BENCHMARK.json) checks every call of all five engines against an
+# independent oracle, plus properties such as the forked engines' peak <=
+# budget on github-spill. A 2 s run per workload must end in a result line
+# with "correct": true and "failed": 0.
+for workload in redshift-scan github-groups twitter-symbolic github-spill; do
+  result=$(python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 2 \
+    --trace 0 | tail -n 1)
+  if ! printf '%s' "$result" | python3 -c '
+import json, sys
+r = json.loads(sys.stdin.read())
+sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)'; then
+    echo "ci.sh: perfbench $workload failed its oracle check: $result" >&2
+    exit 1
+  fi
+done
 
 # --- bottleneck report -------------------------------------------------------
 # One skewed shuffle run with --explain so every CI log carries a current

@@ -32,7 +32,7 @@ class ThreadPool {
 
   // Enqueues a task. Tasks must not throw; an escaping exception terminates
   // the process. Callers that run user code (the map/reduce task bodies in
-  // src/runtime/engine.h) therefore catch SympleError inside the task and
+  // src/runtime/map_phase.h, reduce_phase.h) therefore catch SympleError inside the task and
   // degrade or report the failure through their own result channel.
   void Submit(std::function<void()> task);
 

@@ -2,13 +2,14 @@
 // (Section 6.2: "simulates a single-machine MapReduce with multiple processes
 // and pipes").
 //
-// Each worker process owns a subset of the segments, runs the map tasks
-// (symbolic for SYMPLE, row-batching for the baseline), and streams its
-// serialized shuffle packets to the parent over a pipe. The parent routes
-// committed packets into the hash-partitioned shuffle buffer, sorts the
-// partitions in parallel, and reduces (docs/shuffle.md) — so the symbolic
-// summaries genuinely cross a process boundary in their wire form, exactly
-// as they cross machines in the distributed setting.
+// The forked workers are the second map executor of the shared pipeline
+// (runtime/pipeline.h). Each worker process owns a subset of the segments,
+// runs the strategy's map over them (symbolic for SYMPLE, row-batching for
+// the baseline), and streams its serialized shuffle packets to the parent
+// over a pipe. The parent routes committed packets into the pipeline's
+// hash-partitioned shuffle, which sorts and reduces them (docs/shuffle.md) —
+// so the symbolic summaries genuinely cross a process boundary in their wire
+// form, exactly as they cross machines in the distributed setting.
 //
 // The parent's drain is a poll()-multiplexed loop over all worker pipes (no
 // head-of-line blocking when one worker fills its pipe buffer), and the
@@ -31,15 +32,14 @@
 // The frame types and their bodies:
 //
 //   kFramePacket      body = [varint segment_id][serialized ShufflePacket]
-//   kFrameSegmentDone body = [varint segment_id]
+//   kFrameSegmentDone body = [varint segment_id][varint parsed]
+//                            [varint summaries][varint summary_paths]
 //   kFrameStreamEnd   body = (empty)
 //
-// A frame that fails envelope validation (short, bad checksum, wrong
-// version) is a "corrupt" worker failure: the worker is killed and — in the
-// SYMPLE engine — its uncommitted segments are degraded to concrete-replay
-// markers instead of being retried, since re-running a deterministically
-// corrupting worker cannot help (docs/degradation.md). Engines without a
-// degrade path (the baseline) treat corruption like a crash and retry.
+// The segment-done counters are the child's map-task stats for the segment;
+// the parent folds them into EngineStats when it commits the segment. A frame
+// that fails envelope validation (short, bad checksum, wrong version) is a
+// "corrupt" worker failure (RunForkedMapPhase, docs/degradation.md).
 //
 // See docs/process_engine.md for the full failure-semantics contract and the
 // SYMPLE_FAULT_SPEC fault-injection hook.
@@ -57,7 +57,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -81,7 +80,7 @@ enum ForkedFrameType : uint8_t {
 // Bumped whenever the frame envelope or any body layout changes; a version
 // mismatch is indistinguishable from corruption to the parent and handled
 // the same way (kill + degrade/retry), never by guessing the old layout.
-inline constexpr uint8_t kForkedWireVersion = 2;
+inline constexpr uint8_t kForkedWireVersion = 3;
 
 // Frame payloads shorter than the envelope cannot carry a checksum.
 inline constexpr size_t kFrameEnvelopeBytes = 6;  // crc(4) + type + version
@@ -128,43 +127,39 @@ inline BinaryReader ValidateWorkerFrame(const std::vector<uint8_t>& frame,
                       frame.size() - kFrameEnvelopeBytes);
 }
 
-// SerializePacketFrame / DeserializePacketFrame live in runtime/engine.h:
+// SerializePacketFrame / DeserializePacketFrame live in runtime/shuffle.h:
 // the same packet layout rides both the forked pipe and spill-file blocks.
 
 // Forks workers over the dataset's segments (worker w initially owns
 // s ≡ w (mod num_processes)), drains all pipes concurrently, and recovers
 // from worker failures by re-executing incomplete segments. Committed packets
 // are routed into `shuffle`'s hash partitions as their segments complete;
-// fills shuffle_bytes plus the worker_retries / worker_timeouts /
+// fills shuffle_bytes, parsed_records, summaries, summary_paths, map_cpu_ms
+// (the reaped workers' rusage) plus the worker_retries / worker_timeouts /
 // worker_crashes / fallback_segments counters. With an observer attached,
-// the parent reports one observation per worker drain (per-record counters
-// die with the worker, so forked-mode reports carry coarser map-side detail
-// than the threaded engines) and one OnWorkerFailure event per kill.
+// the parent reports one observation per worker drain and one
+// OnWorkerFailure event per kill.
 //
-// `degrade_segment`, when provided, handles corrupt worker streams (frames
-// failing checksum/version validation): instead of retrying — pointless when
-// the corruption is deterministic — each uncommitted segment is replaced by
-// the packets this callback returns (deferred-replay markers in the SYMPLE
-// engine). Without it, corruption falls back to the crash/retry path.
+// Corrupt worker streams (frames failing checksum/version validation) are
+// not retried when the plan has a degrade path — re-running a
+// deterministically corrupting worker cannot help — and each uncommitted
+// segment is replaced by its degrade packets (deferred-replay markers in the
+// SYMPLE engine). Without one, corruption falls back to the crash/retry path.
 //
-// MapSegmentFn is the morsel-shaped map contract shared with the threaded
-// engines: (chunk, segment_id, first_record) -> packets. The children keep
-// whole-segment granularity (chunk = the full segment, first_record = 0):
-// a child is already one core, so intra-child morsels buy nothing, and
-// commit/retry bookkeeping stays per segment. The parent's in-process
-// fallback, by contrast, is morsel-driven (docs/scheduling.md): it owns all
+// The children run plan.worker_map_chunk over whole segments (chunk = the
+// full segment, first_record = 0): a child is already one core, so
+// intra-child morsels buy nothing, and commit/retry bookkeeping stays per
+// segment. The parent's in-process fallback is the threaded executor's
+// morsel phase over the pending segments (docs/scheduling.md): it owns all
 // the surviving cores, and the segments that land there are by definition
 // the ones that already stalled a worker lineage.
-template <typename Key, typename MapSegmentFn>
-void RunForkedMapPhase(
-    const Dataset& data, const EngineOptions& options, MapSegmentFn map_segment,
-    ShuffleBuffer<Key>* shuffle, EngineStats* stats,
-    obs::RunObserver* observer = nullptr,
-    std::function<std::vector<ShufflePacket<Key>>(std::string_view, uint32_t,
-                                                  uint64_t)>
-        degrade_segment = nullptr) {
+template <typename Key>
+void RunForkedMapPhase(const Dataset& data, const EngineOptions& options,
+                       const MapPlan<Key>& plan, ShuffleBuffer<Key>* shuffle,
+                       EngineStats* stats) {
   using Packet = ShufflePacket<Key>;
   using Clock = std::chrono::steady_clock;
+  obs::RunObserver* observer = options.observer;
   const size_t num_processes = options.map_slots == 0 ? 1 : options.map_slots;
   const std::optional<FaultSpec> fault = FaultSpecFromEnv();
 
@@ -219,9 +214,9 @@ void RunForkedMapPhase(
         BinaryWriter body;
         BinaryWriter payload;
         for (const uint32_t s : w->pending) {
+          TaskStats ts;
           std::vector<Packet> packets =
-              map_segment(data.segments[s], static_cast<uint32_t>(s),
-                          /*first_record=*/0);
+              plan.worker_map_chunk(s, data.segments[s], /*first_record=*/0, &ts);
           for (const Packet& p : packets) {
             body.Clear();
             body.WriteVarUint(s);
@@ -231,6 +226,9 @@ void RunForkedMapPhase(
           }
           body.Clear();
           body.WriteVarUint(s);
+          body.WriteVarUint(ts.parsed);
+          body.WriteVarUint(ts.summaries);
+          body.WriteVarUint(ts.summary_paths);
           BuildWorkerFrame(kFrameSegmentDone, body, &payload);
           writer.WriteFrame(payload.buffer());
         }
@@ -249,26 +247,30 @@ void RunForkedMapPhase(
   };
 
   // Commits one completed segment: its buffered packets become visible in the
-  // output and in the byte accounting. Until this point the segment leaves no
-  // trace, so discarding a failed worker's partial state and re-running its
-  // pending segments can never duplicate or drop packets.
-  auto commit_segment = [&](WorkerState& w, uint32_t seg) {
+  // output and its counters in the stats. Until this point the segment leaves
+  // no trace, so discarding a failed worker's partial state and re-running
+  // its pending segments can never duplicate or drop packets or counts.
+  auto commit_segment = [&](WorkerState& w, BinaryReader& done) {
+    const uint32_t seg = done.ReadVarUint32();
     const auto pending_it = std::find(w.pending.begin(), w.pending.end(), seg);
     if (pending_it == w.pending.end()) {
       throw SympleIoError("segment-done for a segment this worker does not own");
     }
+    const uint64_t parsed = done.ReadVarUint();
+    const uint64_t summaries = done.ReadVarUint();
+    const uint64_t summary_paths = done.ReadVarUint();
     w.pending.erase(pending_it);
+    stats->parsed_records += parsed;
+    stats->summaries += summaries;
+    stats->summary_paths += summary_paths;
     auto it = w.partial.find(seg);
     if (it == w.partial.end()) {
       return;  // segment produced no packets (e.g. nothing parsed)
     }
-    for (Packet& p : it->second) {
-      const uint64_t bytes = PacketBytes(p);
-      stats->shuffle_bytes += bytes;
-      w.bytes += bytes;
-      ++w.packets;
-      shuffle->Add(std::move(p), bytes);
-    }
+    w.packets += it->second.size();
+    const uint64_t bytes = shuffle->AddBatch(std::move(it->second));
+    stats->shuffle_bytes += bytes;
+    w.bytes += bytes;
     w.partial.erase(it);
   };
 
@@ -284,7 +286,7 @@ void RunForkedMapPhase(
         }
         w.partial[seg].push_back(DeserializePacketFrame<Key>(r));
       } else if (type == kFrameSegmentDone) {
-        commit_segment(w, r.ReadVarUint32());
+        commit_segment(w, r);
       } else if (type == kFrameStreamEnd) {
         if (!w.pending.empty()) {
           throw SympleIoError("stream end with incomplete segments");
@@ -299,13 +301,14 @@ void RunForkedMapPhase(
 
   auto finalize_success = [&](WorkerState& w) {
     w.read_fd.Reset();
-    struct rusage worker_ru {};
-    bool have_rusage = false;
+    obs::ResourceUsage usage;
     if (w.child.valid()) {
       // All segments committed; exit status is moot. wait4 hands back the
-      // worker's own rusage — the per-worker resource profile.
+      // worker's own rusage — its map CPU and resource profile.
+      struct rusage worker_ru {};
       w.child.Reap(&worker_ru);
-      have_rusage = true;
+      usage = obs::FromRusage(worker_ru);
+      stats->map_cpu_ms += usage.cpu_ms();
     }
     if (observer != nullptr) {
       obs::MapTaskObs t;
@@ -314,24 +317,21 @@ void RunForkedMapPhase(
       t.end_us = observer->NowUs();
       t.packets = w.packets;
       t.bytes = w.bytes;
-      if (have_rusage) {
-        const obs::ResourceUsage u = obs::FromRusage(worker_ru);
-        t.cpu_ms = u.cpu_ms();
-        t.maxrss_kb = u.maxrss_kb;
-      }
+      t.cpu_ms = usage.cpu_ms();
+      t.maxrss_kb = usage.maxrss_kb;
       observer->OnMapTask(t);
     }
   };
 
   // Kills and reaps a failed worker, then recovers its pending segments:
-  // corrupt streams degrade to the caller's replacement packets (when a
+  // corrupt streams degrade to the plan's replacement packets (when a
   // degrade path exists), everything else respawns a replacement worker or —
   // once the retry budget is spent — executes in-process. Committed segments
   // are never re-run.
   auto handle_failure = [&](std::unique_ptr<WorkerState>& slot, const char* kind) {
     WorkerState& w = *slot;
     const bool degrading =
-        std::strcmp(kind, "corrupt") == 0 && degrade_segment != nullptr;
+        std::strcmp(kind, "corrupt") == 0 && plan.degrade_chunk != nullptr;
     if (std::strcmp(kind, "timeout") == 0) {
       ++stats->worker_timeouts;
     } else if (!degrading) {
@@ -344,7 +344,6 @@ void RunForkedMapPhase(
     }
     std::vector<uint32_t> pending = std::move(w.pending);
     const int attempt = w.attempt;
-    const uint32_t failed_seq = w.spawn_seq;
     if (pending.empty()) {
       // Nothing left to recover (e.g. the stream died after the last
       // segment-done but before stream-end); the worker's output is complete.
@@ -354,16 +353,12 @@ void RunForkedMapPhase(
     if (degrading) {
       // Nothing read from this pipe can be trusted and re-running a
       // deterministically corrupting worker cannot help, so don't retry:
-      // every uncommitted segment is replaced by the caller's degrade packets
+      // every uncommitted segment is replaced by the plan's degrade packets
       // (deferred-replay markers), which the reducer resolves concretely.
       for (const uint32_t s : pending) {
-        std::vector<Packet> packets = degrade_segment(
-            data.segments[s], static_cast<uint32_t>(s), /*first_record=*/0);
-        for (Packet& p : packets) {
-          const uint64_t bytes = PacketBytes(p);
-          stats->shuffle_bytes += bytes;
-          shuffle->Add(std::move(p), bytes);
-        }
+        stats->shuffle_bytes += shuffle->AddBatch(plan.degrade_chunk(
+            s, data.segments[s], /*first_record=*/0, DegradeReason::kWireCorrupt,
+            "corrupt summary frame from worker"));
       }
       slot.reset();
       return;
@@ -375,96 +370,12 @@ void RunForkedMapPhase(
       slot = spawn(std::move(pending), attempt + 1);
       return;
     }
-    // Final fallback: in-process execution, which cannot crash-loop. The
-    // fallback is morsel-driven (docs/scheduling.md): the pending segments —
-    // often one straggler worker's whole share — are chunked into
-    // record-aligned morsels and pulled from stealing deques by map_slots
-    // threads, so the recovery runs wide instead of serially re-walking
-    // segments on the drain thread. Morsel packets carry global record ids,
-    // so they compose at the reducer exactly like a whole segment's would.
+    // Final fallback: in-process execution, which cannot crash-loop — the
+    // threaded executor's morsel phase over the pending segments.
     stats->fallback_segments += pending.size();
-    const double fb_start = observer != nullptr ? observer->NowUs() : 0;
-    uint64_t total_records = 0;
-    for (const uint32_t s : pending) {
-      total_records += data.segments[s].size() / 64 + 1;  // bytes-derived hint
-    }
-    const size_t morsel_records = ResolveMorselRecords(
-        options.morsel_records, total_records, num_processes);
-    std::vector<Morsel> morsels;
-    for (const uint32_t s : pending) {
-      AppendSegmentMorsels(data.segments[s], s, morsel_records, &morsels);
-    }
-    const size_t fb_workers = std::min(num_processes, morsels.size());
-    StealingIndexQueues queues(fb_workers);
-    for (size_t i = 0; i < morsels.size(); ++i) {
-      queues.Push(morsels[i].segment % fb_workers, i);
-    }
-    std::atomic<uint64_t> fb_packets{0};
-    std::atomic<uint64_t> fb_bytes{0};
-    std::mutex fb_err_mu;
-    std::string fb_error;
-    {
-      ThreadPool pool(fb_workers);
-      for (size_t fw = 0; fw < fb_workers; ++fw) {
-        pool.Submit([fw, &queues, &morsels, &data, &map_segment,
-                     &degrade_segment, shuffle, &fb_packets, &fb_bytes,
-                     &fb_err_mu, &fb_error] {
-          size_t idx = 0;
-          bool stolen = false;
-          while (queues.Next(fw, &idx, &stolen)) {
-            const Morsel& m = morsels[idx];
-            const std::string_view chunk =
-                std::string_view(data.segments[m.segment])
-                    .substr(m.byte_begin, m.byte_end - m.byte_begin);
-            std::vector<Packet> packets;
-            try {
-              packets = map_segment(chunk, m.segment, m.first_record);
-            } catch (const SympleError& e) {
-              bool degraded = false;
-              if (degrade_segment != nullptr) {
-                try {
-                  packets = degrade_segment(chunk, m.segment, m.first_record);
-                  degraded = true;
-                } catch (const SympleError&) {
-                }
-              }
-              if (!degraded) {
-                std::lock_guard<std::mutex> lock(fb_err_mu);
-                if (fb_error.empty()) {
-                  fb_error = e.what();
-                }
-              }
-            }
-            uint64_t batch_bytes = 0;
-            for (Packet& p : packets) {
-              const uint64_t bytes = PacketBytes(p);
-              batch_bytes += bytes;
-              shuffle->Add(std::move(p), bytes);
-            }
-            fb_packets.fetch_add(packets.size(), std::memory_order_relaxed);
-            fb_bytes.fetch_add(batch_bytes, std::memory_order_relaxed);
-          }
-        });
-      }
-      pool.Wait();
-    }
-    if (!fb_error.empty()) {
-      throw SympleIoError("map stage failed: " + fb_error);
-    }
-    stats->shuffle_bytes += fb_bytes.load();
-    stats->map_morsels += morsels.size();
-    stats->morsel_steals += queues.steals();
-    if (observer != nullptr) {
-      obs::MapTaskObs t;
-      t.mapper_id = failed_seq;
-      t.start_us = fb_start;
-      t.end_us = observer->NowUs();
-      t.packets = fb_packets.load();
-      t.bytes = fb_bytes.load();
-      t.morsels = morsels.size();
-      observer->OnMapTask(t);
-    }
     slot.reset();
+    RunMapPhase<Key>(data.segments, pending, options.map_slots, plan.morsel_records,
+                     plan.map_chunk, plan.degrade_chunk, shuffle, stats, observer);
   };
 
   for (size_t wi = 0; wi < num_processes; ++wi) {
@@ -547,137 +458,33 @@ void RunForkedMapPhase(
   }
 }
 
+// Executor: forked map workers over pipes, the paper's Section 6.2 setup.
+struct ForkedWorkers {
+  template <typename Key>
+  void operator()(const Dataset& data, const EngineOptions& options,
+                  const MapPlan<Key>& plan, ShuffleBuffer<Key>* shuffle,
+                  EngineStats* stats) const {
+    RunForkedMapPhase<Key>(data, options, plan, shuffle, stats);
+  }
+};
+
 }  // namespace internal
 
 // SYMPLE with forked map workers: symbolic summaries cross a real process
 // boundary in wire form before the parent-side shuffle and reduce.
 template <typename Query>
 RunResult<Query> RunSympleForked(const Dataset& data, const EngineOptions& options = {}) {
-  using Key = typename Query::Key;
-  using State = typename Query::State;
-  using Packet = internal::ShufflePacket<Key>;
-
-  // Children are reaped inside the run, so the RUSAGE_CHILDREN delta captures
-  // exactly this run's worker processes.
-  const internal::ResourceScope resources;
-  const auto t0 = std::chrono::steady_clock::now();
-  RunResult<Query> result;
-  result.stats.input_bytes = data.TotalBytes();
-  result.stats.input_records = data.TotalRecords();
-
-  // Resolved in the parent before any fork; the workers inherit the value.
-  const size_t seg_hint = internal::ResolveGroupCapacityHint(
-      options.group_capacity_hint,
-      data.segment_count() > 0 ? result.stats.input_records / data.segment_count() : 0);
-  auto map_segment = [&options, seg_hint](
-                         std::string_view segment, uint32_t mapper_id,
-                         uint64_t first_record) -> std::vector<Packet> {
-    internal::TaskStats ts;  // per-process stats die with the worker
-    return internal::SympleMapSegment<Query>(segment, mapper_id, first_record,
-                                             options.aggregator, options.budgets,
-                                             &ts, seg_hint);
-  };
-  // Replacement packets for a segment whose worker produced a corrupt
-  // stream: deferred-replay markers, resolved concretely at the reducer.
-  auto degrade_segment = [](std::string_view segment, uint32_t segment_id,
-                            uint64_t first_record) -> std::vector<Packet> {
-    return internal::DeferSegmentPackets<Query>(
-        segment, segment_id, DegradeReason::kWireCorrupt,
-        "corrupt summary frame from worker", first_record);
-  };
-  // Memory-budgeted execution (docs/spill.md): the children keep their own
-  // address spaces — only the parent-side shuffle buffer is tracked here, and
-  // the parent drain's Adds trigger spills while workers are still producing.
-  // Forked children always _exit without running destructors, so a child
-  // forked after the spill directory exists can never double-unlink it.
-  MemoryBudget budget(options.memory_budget_bytes);
-  internal::SpillContext<Key> spill(
-      &budget, internal::ResolveReducePartitions(options), options.spill_dir);
-  internal::ShuffleBuffer<Key> shuffle(internal::ResolveReducePartitions(options));
-  shuffle.EnableSpill(&budget, &spill);
-  internal::RunForkedMapPhase<Key>(data, options, map_segment, &shuffle,
-                                   &result.stats, options.observer,
-                                   degrade_segment);
-  result.stats.map_wall_ms = internal::MsSince(t0);
-
-  std::mutex out_mu;
-  internal::DegradeAccounting degrades;
-  internal::RunShuffleAndReduce<Key>(
-      std::move(shuffle), options.reduce_slots, options.reduce_schedule,
-      [&result, &out_mu, &data, &options, &degrades](
-          const Key& key, const Packet* first, const Packet* last) {
-        State state{};
-        internal::SympleReduceKey<Query>(data, options.reduce_mode, key, first,
-                                         last, state, &degrades);
-        auto output = Query::Result(state, key);
-        std::lock_guard<std::mutex> lock(out_mu);
-        result.outputs.emplace(key, std::move(output));
-      },
-      &result.stats, options.observer, &spill);
-  internal::FoldDegrades(degrades, &result.stats, options.observer);
-  result.stats.peak_tracked_bytes = budget.peak_bytes();
-  result.stats.total_wall_ms = internal::MsSince(t0);
-  resources.Fold(&result.stats);
-  return result;
+  return internal::RunPipeline<Query>(data, options,
+                                      internal::Symple<Query>{data, options},
+                                      internal::ForkedWorkers{});
 }
 
 // Baseline with forked map workers (grouped textual rows over the pipes).
 template <typename Query>
 RunResult<Query> RunBaselineForked(const Dataset& data,
                                    const EngineOptions& options = {}) {
-  using Key = typename Query::Key;
-  using Event = typename Query::Event;
-  using State = typename Query::State;
-  using Packet = internal::ShufflePacket<Key>;
-
-  const internal::ResourceScope resources;
-  const auto t0 = std::chrono::steady_clock::now();
-  RunResult<Query> result;
-  result.stats.input_bytes = data.TotalBytes();
-  result.stats.input_records = data.TotalRecords();
-
-  const size_t seg_hint = internal::ResolveGroupCapacityHint(
-      options.group_capacity_hint,
-      data.segment_count() > 0 ? result.stats.input_records / data.segment_count() : 0);
-  auto map_segment = [seg_hint](std::string_view segment, uint32_t mapper_id,
-                                uint64_t first_record) -> std::vector<Packet> {
-    internal::TaskStats ts;
-    return internal::BaselineMapSegment<Query>(segment, mapper_id, first_record,
-                                               &ts, seg_hint);
-  };
-  // Parent-side memory budget + shuffle spill, as in RunSympleForked.
-  MemoryBudget budget(options.memory_budget_bytes);
-  internal::SpillContext<Key> spill(
-      &budget, internal::ResolveReducePartitions(options), options.spill_dir);
-  internal::ShuffleBuffer<Key> shuffle(internal::ResolveReducePartitions(options));
-  shuffle.EnableSpill(&budget, &spill);
-  internal::RunForkedMapPhase<Key>(data, options, map_segment, &shuffle,
-                                   &result.stats, options.observer);
-  result.stats.map_wall_ms = internal::MsSince(t0);
-
-  std::mutex out_mu;
-  internal::RunShuffleAndReduce<Key>(
-      std::move(shuffle), options.reduce_slots, options.reduce_schedule,
-      [&result, &out_mu](const Key& key, const Packet* first, const Packet* last) {
-        State state{};
-        for (const Packet* p = first; p != last; ++p) {
-          BinaryReader r(p->blob.data(), p->blob.size());
-          const uint64_t n = r.ReadVarUint();
-          for (uint64_t i = 0; i < n; ++i) {
-            TextKeyCodec<Key>::Skip(r);
-            const Event ev = Query::DeserializeEvent(r);
-            Query::Update(state, ev);
-          }
-        }
-        auto output = Query::Result(state, key);
-        std::lock_guard<std::mutex> lock(out_mu);
-        result.outputs.emplace(key, std::move(output));
-      },
-      &result.stats, options.observer, &spill);
-  result.stats.peak_tracked_bytes = budget.peak_bytes();
-  result.stats.total_wall_ms = internal::MsSince(t0);
-  resources.Fold(&result.stats);
-  return result;
+  return internal::RunPipeline<Query>(data, options, internal::Baseline<Query>{},
+                                      internal::ForkedWorkers{});
 }
 
 }  // namespace symple

@@ -24,8 +24,8 @@
 //                        keyed by the 0-based spill-block write index.
 //
 // The templated half — serializing ShufflePackets into block bodies, sorted-
-// run bookkeeping, and the streaming k-way merge — lives with the engines in
-// runtime/engine.h (SpillContext), which depends on this header and not vice
+// run bookkeeping, and the streaming k-way merge — lives with the shuffle in
+// runtime/shuffle.h (SpillContext), which depends on this header and not vice
 // versa.
 #ifndef SYMPLE_RUNTIME_SPILL_H_
 #define SYMPLE_RUNTIME_SPILL_H_

@@ -89,7 +89,7 @@ TEST(ShufflePartition, RoutingIsDeterministicAndInRange) {
   }
 }
 
-TEST(ShufflePartition, AddAndAddBatchAgreeOnRoutingAndBytes) {
+TEST(ShufflePartition, AddBatchRoutesEveryPacketAndCountsBytes) {
   SplitMix64 rng(23);
   std::vector<ShufflePacket<int64_t>> packets;
   for (int i = 0; i < 300; ++i) {
@@ -98,13 +98,15 @@ TEST(ShufflePartition, AddAndAddBatchAgreeOnRoutingAndBytes) {
                                           rng.Next(), rng.Below(64)));
   }
   const size_t parts = 5;
-  ShuffleBuffer<int64_t> one_by_one(parts);
+  std::vector<size_t> expected_sizes(parts, 0);
+  std::vector<uint64_t> expected_bytes(parts, 0);
   uint64_t expected_total = 0;
   for (const auto& p : packets) {
-    auto copy = p;
-    const uint64_t bytes = PacketBytes(copy);
+    const uint64_t bytes = PacketBytes(p);
+    const size_t part = ShufflePartitionOf(p.key, parts);
+    ++expected_sizes[part];
+    expected_bytes[part] += bytes;
     expected_total += bytes;
-    one_by_one.Add(std::move(copy), bytes);
   }
   ShuffleBuffer<int64_t> batched(parts);
   auto batch = packets;
@@ -112,8 +114,8 @@ TEST(ShufflePartition, AddAndAddBatchAgreeOnRoutingAndBytes) {
 
   uint64_t total_bytes = 0;
   for (size_t i = 0; i < parts; ++i) {
-    EXPECT_EQ(one_by_one.partition(i).size(), batched.partition(i).size());
-    EXPECT_EQ(one_by_one.partition_bytes(i), batched.partition_bytes(i));
+    EXPECT_EQ(batched.partition(i).size(), expected_sizes[i]);
+    EXPECT_EQ(batched.partition_bytes(i), expected_bytes[i]);
     total_bytes += batched.partition_bytes(i);
     for (const auto& p : batched.partition(i)) {
       EXPECT_EQ(ShufflePartitionOf(p.key, parts), i) << "packet in wrong partition";
@@ -168,8 +170,8 @@ TEST(ShuffleOrderProperty, PartitionedOrderMatchesGlobalSort) {
 }
 
 // Drives RunShuffleAndReduce directly: every key must be reduced exactly once
-// with its full ordered run, under both schedules and several partition/slot
-// shapes, including slots > groups and partitions > groups.
+// with its full ordered run, under several partition/slot shapes, including
+// slots > groups and partitions > groups.
 TEST(ShuffleSchedule, EverySchedulePreservesRunsAndOrder) {
   SplitMix64 rng(47);
   std::vector<ShufflePacket<int64_t>> packets;
@@ -185,36 +187,32 @@ TEST(ShuffleSchedule, EverySchedulePreservesRunsAndOrder) {
     expected[p.key].emplace_back(p.mapper_id, p.record_id);
   }
 
-  for (const auto schedule : {ReduceSchedule::kStatic, ReduceSchedule::kLargestFirst}) {
-    for (const size_t parts : {size_t{1}, size_t{4}, size_t{32}}) {
-      for (const size_t slots : {size_t{1}, size_t{3}, size_t{8}}) {
-        ShuffleBuffer<int64_t> shuffle(parts);
-        auto batch = packets;
-        shuffle.AddBatch(std::move(batch));
-        std::mutex mu;
-        std::map<int64_t, std::vector<std::pair<uint32_t, uint64_t>>> actual;
-        EngineStats stats;
-        internal::RunShuffleAndReduce<int64_t>(
-            std::move(shuffle), slots, schedule,
-            [&mu, &actual](const int64_t& key, const ShufflePacket<int64_t>* first,
-                           const ShufflePacket<int64_t>* last) {
-              std::vector<std::pair<uint32_t, uint64_t>> run;
-              for (const auto* p = first; p != last; ++p) {
-                run.emplace_back(p->mapper_id, p->record_id);
-              }
-              std::lock_guard<std::mutex> lock(mu);
-              auto [it, inserted] = actual.emplace(key, std::move(run));
-              EXPECT_TRUE(inserted) << "key " << key << " reduced twice";
-            },
-            &stats);
-        EXPECT_EQ(actual, expected)
-            << "schedule=" << (schedule == ReduceSchedule::kStatic ? "static" : "lpt")
-            << " parts=" << parts << " slots=" << slots;
-        EXPECT_EQ(stats.groups, expected.size());
-        EXPECT_EQ(stats.reduce_partitions, parts);
-        EXPECT_GE(stats.partition_skew, 1.0);
-        EXPECT_LE(stats.partition_skew, static_cast<double>(parts) + 1e-9);
-      }
+  for (const size_t parts : {size_t{1}, size_t{4}, size_t{32}}) {
+    for (const size_t slots : {size_t{1}, size_t{3}, size_t{8}}) {
+      ShuffleBuffer<int64_t> shuffle(parts);
+      auto batch = packets;
+      shuffle.AddBatch(std::move(batch));
+      std::mutex mu;
+      std::map<int64_t, std::vector<std::pair<uint32_t, uint64_t>>> actual;
+      EngineStats stats;
+      internal::RunShuffleAndReduce<int64_t>(
+          std::move(shuffle), slots,
+          [&mu, &actual](const int64_t& key, const ShufflePacket<int64_t>* first,
+                         const ShufflePacket<int64_t>* last) {
+            std::vector<std::pair<uint32_t, uint64_t>> run;
+            for (const auto* p = first; p != last; ++p) {
+              run.emplace_back(p->mapper_id, p->record_id);
+            }
+            std::lock_guard<std::mutex> lock(mu);
+            auto [it, inserted] = actual.emplace(key, std::move(run));
+            EXPECT_TRUE(inserted) << "key " << key << " reduced twice";
+          },
+          &stats);
+      EXPECT_EQ(actual, expected) << "parts=" << parts << " slots=" << slots;
+      EXPECT_EQ(stats.groups, expected.size());
+      EXPECT_EQ(stats.reduce_partitions, parts);
+      EXPECT_GE(stats.partition_skew, 1.0);
+      EXPECT_LE(stats.partition_skew, static_cast<double>(parts) + 1e-9);
     }
   }
 }
@@ -223,7 +221,7 @@ TEST(ShuffleSchedule, EmptyShuffleReportsZeroSkew) {
   ShuffleBuffer<int64_t> shuffle(4);
   EngineStats stats;
   internal::RunShuffleAndReduce<int64_t>(
-      std::move(shuffle), 3, ReduceSchedule::kLargestFirst,
+      std::move(shuffle), 3,
       [](const int64_t&, const ShufflePacket<int64_t>*,
          const ShufflePacket<int64_t>*) { FAIL() << "reduce on empty shuffle"; },
       &stats);
@@ -272,7 +270,7 @@ TEST(ShuffleEdge, SingleRecordAllEngines) {
   EXPECT_EQ(sym.stats.groups, 1u);
 }
 
-// Partition-count and schedule sweeps must stay byte-identical to sequential,
+// Partition-count sweeps must stay byte-identical to sequential,
 // including with degraded segments crossing partitions (force_degrade sends
 // every key run down the concrete-replay path).
 TEST(ShuffleEquivalence, PartitionAndScheduleSweep) {
@@ -284,17 +282,13 @@ TEST(ShuffleEquivalence, PartitionAndScheduleSweep) {
   const Dataset data = GenerateGithubLog(p);
   const auto seq = RunSequential<G3PullWindowOps>(data);
   for (const size_t parts : {size_t{1}, size_t{3}, size_t{8}}) {
-    for (const auto schedule :
-         {ReduceSchedule::kStatic, ReduceSchedule::kLargestFirst}) {
-      EngineOptions options;
-      options.reduce_partitions = parts;
-      options.reduce_schedule = schedule;
-      const auto mr = RunBaselineMapReduce<G3PullWindowOps>(data, options);
-      const auto sym = RunSymple<G3PullWindowOps>(data, options);
-      EXPECT_TRUE(mr.outputs == seq.outputs) << "baseline parts=" << parts;
-      EXPECT_TRUE(sym.outputs == seq.outputs) << "symple parts=" << parts;
-      EXPECT_EQ(sym.stats.reduce_partitions, parts);
-    }
+    EngineOptions options;
+    options.reduce_partitions = parts;
+    const auto mr = RunBaselineMapReduce<G3PullWindowOps>(data, options);
+    const auto sym = RunSymple<G3PullWindowOps>(data, options);
+    EXPECT_TRUE(mr.outputs == seq.outputs) << "baseline parts=" << parts;
+    EXPECT_TRUE(sym.outputs == seq.outputs) << "symple parts=" << parts;
+    EXPECT_EQ(sym.stats.reduce_partitions, parts);
   }
 }
 
@@ -324,17 +318,13 @@ TEST(ShuffleEquivalence, ForkedEnginesWithExplicitPartitions) {
   p.filler_bytes = 8;
   const Dataset data = GenerateGithubLog(p);
   const auto seq = RunSequential<G1OnlyPushes>(data);
-  for (const auto schedule :
-       {ReduceSchedule::kStatic, ReduceSchedule::kLargestFirst}) {
-    EngineOptions options;
-    options.reduce_partitions = 3;
-    options.reduce_schedule = schedule;
-    const auto sym = RunSympleForked<G1OnlyPushes>(data, options);
-    const auto mr = RunBaselineForked<G1OnlyPushes>(data, options);
-    EXPECT_TRUE(sym.outputs == seq.outputs);
-    EXPECT_TRUE(mr.outputs == seq.outputs);
-    EXPECT_EQ(sym.stats.reduce_partitions, 3u);
-  }
+  EngineOptions options;
+  options.reduce_partitions = 3;
+  const auto sym = RunSympleForked<G1OnlyPushes>(data, options);
+  const auto mr = RunBaselineForked<G1OnlyPushes>(data, options);
+  EXPECT_TRUE(sym.outputs == seq.outputs);
+  EXPECT_TRUE(mr.outputs == seq.outputs);
+  EXPECT_EQ(sym.stats.reduce_partitions, 3u);
 }
 
 }  // namespace
